@@ -91,11 +91,10 @@ ParallelSearchEngine::ParallelSearchEngine(const seq::MappedSwdb& db,
 
 void ParallelSearchEngine::init_partition(
     const ParallelSearchOptions& options) {
-  permuted_pos_.resize(original_index_.size());
-  for (std::size_t p = 0; p < original_index_.size(); ++p) {
-    permuted_pos_[original_index_[p]] = p;
+  ordered_.resize(db_.size());
+  for (std::size_t p = 0; p < db_.size(); ++p) {
+    ordered_[original_index_[p]] = db_[p];
   }
-  total_residues_ = db_residue_count(db_);
   const std::size_t threads = std::max<std::size_t>(1, options.threads);
   std::size_t num_chunks;
   if (options.chunk_records > 0) {
@@ -326,42 +325,6 @@ std::vector<ScreenResult> ParallelSearchEngine::screen_chunk_many(
   return screens;
 }
 
-void ParallelSearchEngine::rescore_candidates(
-    const SearchProfiles& profiles,
-    const std::vector<std::uint32_t>& candidates, const ScreenResult& screen,
-    FilteredSearchResult& out) const {
-  std::vector<std::uint32_t> rescan_index;
-  for (const std::uint32_t c : candidates) {
-    if (!screen.exact[c]) rescan_index.push_back(c);
-  }
-  // Longest-first so the interseq rescan packs similar lengths into the
-  // same SIMD batch; lanes are independent, so order never changes scores.
-  std::stable_sort(rescan_index.begin(), rescan_index.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return db_[permuted_pos_[a]].size() >
-                            db_[permuted_pos_[b]].size();
-                   });
-  DbView rescan;
-  rescan.reserve(rescan_index.size());
-  for (const std::uint32_t c : rescan_index) {
-    rescan.push_back(db_[permuted_pos_[c]]);
-  }
-  obs::Span span;
-  if (tracer_) {
-    span = tracer_->span("filter_rescore", "align", trace_track_);
-    span.arg("candidates", static_cast<double>(candidates.size()));
-    span.arg("rescans", static_cast<double>(rescan.size()));
-  }
-  const SearchResult rescored =
-      search_range(profiles, rescan, 0, rescan.size());
-  out.result.cells += rescored.cells;
-  out.result.overflow_rescans += rescored.overflow_rescans;
-  for (std::size_t i = 0; i < rescan_index.size(); ++i) {
-    out.result.scores[rescan_index[i]] = rescored.scores[i];
-  }
-  out.stats.rescans += rescan_index.size();
-}
-
 std::vector<ScreenResult> ParallelSearchEngine::screen_many(
     std::span<const SearchProfiles* const> profiles, std::size_t band) const {
   std::vector<ScreenResult> merged(profiles.size());
@@ -437,28 +400,13 @@ std::vector<FilteredSearchResult> ParallelSearchEngine::search_filtered_many(
   }
   WallTimer timer;
   std::vector<ScreenResult> screens = screen_many(profiles, config.band);
-  std::vector<FilteredSearchResult> results(profiles.size());
+  std::vector<FilteredSearchResult> results;
+  results.reserve(profiles.size());
   for (std::size_t q = 0; q < profiles.size(); ++q) {
-    FilteredSearchResult& out = results[q];
-    ScreenResult& screen = screens[q];
-    const std::vector<std::uint32_t> candidates =
-        filter_select_candidates(screen, top_k, config, &out.stats);
-    out.result.cells = screen.cells;
-    out.result.scores = std::move(screen.scores);
-    screen.scores.clear();
-    rescore_candidates(*profiles[q], candidates, screen, out);
-    for (const std::uint32_t c : candidates) {
-      push_top_hit(out.hits, {c, out.result.scores[c]}, top_k);
-    }
-    finish_top_hits(out.hits);
-    out.result.seconds = timer.seconds();
-    if (metrics_) {
-      metrics_->add("filter_candidates",
-                    static_cast<double>(out.stats.candidates));
-      metrics_->add("filter_rescans", static_cast<double>(out.stats.rescans));
-      metrics_->add("filter_band_uncertain",
-                    static_cast<double>(out.stats.band_uncertain));
-    }
+    results.push_back(filter_rescore(std::move(screens[q]), ordered_, top_k,
+                                     config, exact_rescan(*profiles[q]), {},
+                                     tracer_, metrics_, trace_track_));
+    results.back().result.seconds = timer.seconds();
   }
   return results;
 }
@@ -502,29 +450,6 @@ SearchResult ParallelSearchEngine::search(const SearchProfiles& profiles) const 
 RankedSearchResult ParallelSearchEngine::search_ranked(
     const SearchProfiles& profiles, std::size_t k) const {
   return run(profiles, k);
-}
-
-RankedSearchResult ParallelSearchEngine::search_ranked(
-    const SearchProfiles& profiles, std::size_t k,
-    const AnnotateConfig& annotate, const KarlinAltschulParams& params) const {
-  RankedSearchResult out = run(profiles, k);
-  annotate_hits(
-      out.hits, profiles.query(),
-      [this](std::size_t index) { return record(index); }, profiles.scheme(),
-      annotate, params, total_residues_, tracer_, metrics_, trace_track_);
-  return out;
-}
-
-FilteredSearchResult ParallelSearchEngine::search_filtered(
-    const SearchProfiles& profiles, std::size_t top_k,
-    const FilterConfig& config, const AnnotateConfig& annotate,
-    const KarlinAltschulParams& params) const {
-  FilteredSearchResult out = search_filtered(profiles, top_k, config);
-  annotate_hits(
-      out.hits, profiles.query(),
-      [this](std::size_t index) { return record(index); }, profiles.scheme(),
-      annotate, params, total_residues_, tracer_, metrics_, trace_track_);
-  return out;
 }
 
 }  // namespace swdual::align

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "align/annotate.h"
 #include "align/search.h"
 #include "util/thread_pool.h"
 
@@ -61,8 +60,8 @@ struct ParallelSearchOptions {
   std::size_t trace_track = 0;
 };
 
-// RankedSearchResult lives in align/search.h (shared with the serial
-// annotated drivers); this header re-exports it via that include.
+// RankedSearchResult lives in align/search.h; this header re-exports it via
+// that include.
 
 class ParallelSearchEngine {
  public:
@@ -105,17 +104,6 @@ class ParallelSearchEngine {
   RankedSearchResult search_ranked(const SearchProfiles& profiles,
                                    std::size_t k) const;
 
-  /// search_ranked plus an annotate_hits pass (align/annotate.h) on the
-  /// merged top-k: e-value/bit score from `params` with the database's
-  /// total residue count as the search space, the evalue cutoff, and
-  /// (stats+cigar) a validated traceback per surviving hit. The annotation
-  /// runs once, post-merge, so hit scores/order stay bit-identical to the
-  /// unannotated overload regardless of thread count or chunking.
-  RankedSearchResult search_ranked(const SearchProfiles& profiles,
-                                   std::size_t k,
-                                   const AnnotateConfig& annotate,
-                                   const KarlinAltschulParams& params) const;
-
   /// Multi-query scan: K queries share ONE pass over every database chunk.
   /// Each chunk task scans its records once per query while the chunk's
   /// residues are hot in cache, amortizing DB decode/cache traffic across
@@ -128,7 +116,7 @@ class ParallelSearchEngine {
       std::span<const SearchProfiles* const> profiles, std::size_t k) const;
 
   /// Two-stage filtered search (align/search.h): chunked banded screen,
-  /// deterministic candidate selection, then a candidate-only exact rescan.
+  /// then the shared stage 2 (filter_rescore) over the gathered screen.
   /// Mode kOff is bit-identical to search_ranked; heuristic results are
   /// identical to the serial search_database_filtered path regardless of
   /// thread count or chunking. Emits filter_screen / filter_rescore spans
@@ -143,18 +131,9 @@ class ParallelSearchEngine {
                                        const FilterConfig& config,
                                        Backend backend = Backend::kAuto) const;
 
-  /// Filtered search plus post-merge annotation (see the annotated
-  /// search_ranked overload for the semantics).
-  FilteredSearchResult search_filtered(const SearchProfiles& profiles,
-                                       std::size_t k,
-                                       const FilterConfig& config,
-                                       const AnnotateConfig& annotate,
-                                       const KarlinAltschulParams& params)
-      const;
-
   /// Multi-query filtered search: the stage-1 screens share ONE pass over
   /// every chunk (like search_ranked_many's group passes), then each query
-  /// selects and rescans its own candidates. Results per query, input order.
+  /// runs stage 2 on its own screen. Results per query, input order.
   std::vector<FilteredSearchResult> search_filtered_many(
       std::span<const SearchProfiles* const> profiles, std::size_t k,
       const FilterConfig& config) const;
@@ -168,15 +147,6 @@ class ParallelSearchEngine {
   std::size_t num_chunks() const { return chunks_.size(); }
   std::size_t threads() const { return pool_ ? pool_->size() : 1; }
   std::size_t db_records() const { return db_.size(); }
-
-  /// Total residues across the database (the Karlin–Altschul `n`).
-  std::uint64_t db_residues() const { return total_residues_; }
-
-  /// The residue span of database record `index` (database order, i.e. the
-  /// caller's original indexing, independent of the length permutation).
-  std::span<const std::uint8_t> record(std::size_t index) const {
-    return db_[permuted_pos_[index]];
-  }
 
  private:
   struct Chunk {
@@ -204,13 +174,6 @@ class ParallelSearchEngine {
       std::span<const SearchProfiles* const> profiles, const Chunk& chunk,
       std::size_t chunk_index, std::size_t band) const;
 
-  /// Exact rescan of the non-certified candidates; overwrites their entries
-  /// in `out.result.scores` and accumulates cells/stats.
-  void rescore_candidates(const SearchProfiles& profiles,
-                          const std::vector<std::uint32_t>& candidates,
-                          const ScreenResult& screen,
-                          FilteredSearchResult& out) const;
-
   /// Partition db_ into chunks and spin up the pool (shared ctor tail;
   /// db_ and original_index_ must already be populated).
   void init_partition(const ParallelSearchOptions& options);
@@ -221,10 +184,9 @@ class ParallelSearchEngine {
   /// unaffected — lanes are independent — only padding waste is.
   std::vector<Chunk> batch_aligned_chunks(std::size_t batch) const;
 
-  DbView db_;  ///< permuted (or original-order) span copies
-  std::uint64_t total_residues_ = 0;
+  DbView db_;       ///< permuted (or original-order) span copies
+  DbView ordered_;  ///< the same spans in database order (stage-2 rescans)
   std::vector<std::size_t> original_index_;  ///< permuted pos → db pos
-  std::vector<std::size_t> permuted_pos_;    ///< db pos → permuted pos
   std::vector<Chunk> chunks_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when options.threads <= 1
   obs::Tracer* tracer_ = nullptr;

@@ -10,6 +10,8 @@
 #include "align/kernel_striped.h"
 #include "align/kernel_striped8.h"
 #include "align/scalar.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/error.h"
 #include "util/timer.h"
 
@@ -301,41 +303,62 @@ std::vector<std::uint32_t> filter_select_candidates(const ScreenResult& screen,
   return candidates;
 }
 
-FilteredSearchResult search_database_filtered(const SearchProfiles& profiles,
-                                              const DbView& db,
-                                              std::size_t top_k,
-                                              const FilterConfig& config) {
-  config.validate();
-  WallTimer timer;
-  FilteredSearchResult out;
-  if (!config.enabled()) {
-    out.result = search_range(profiles, db, 0, db.size());
-    out.result.seconds = timer.seconds();
-    out.hits = out.result.top(top_k);
-    return out;
-  }
+RescanKernel exact_rescan(const SearchProfiles& profiles) {
+  return [&profiles](const DbView& records) {
+    return search_range(profiles, records, 0, records.size());
+  };
+}
 
-  ScreenResult screen = screen_range(profiles, db, 0, db.size(), config.band);
-  const std::vector<std::uint32_t> candidates =
+FilteredSearchResult filter_rescore(ScreenResult screen, const DbView& db,
+                                    std::size_t top_k,
+                                    const FilterConfig& config,
+                                    const RescanKernel& rescan,
+                                    std::span<const std::uint8_t> eligible,
+                                    obs::Tracer* tracer,
+                                    obs::MetricsRegistry* metrics,
+                                    std::size_t trace_track) {
+  SWDUAL_REQUIRE(screen.scores.size() == db.size(),
+                 "screen must cover the database in database order");
+  SWDUAL_REQUIRE(eligible.empty() || eligible.size() == db.size(),
+                 "eligibility mask must cover the database");
+  FilteredSearchResult out;
+  std::vector<std::uint32_t> candidates =
       filter_select_candidates(screen, top_k, config, &out.stats);
+  if (!eligible.empty()) {
+    out.stats.candidates -= static_cast<std::uint64_t>(std::erase_if(
+        candidates, [&eligible](std::uint32_t c) { return !eligible[c]; }));
+  }
 
   // Rescan only candidates whose screened score lacks the coverage
-  // certificate; gather them into a compact view so the exact kernel can
-  // batch them in one pass.
-  DbView rescan;
+  // certificate, longest-first so the interseq kernel packs similar lengths
+  // into the same SIMD batch; lanes are independent, so order never changes
+  // scores.
   std::vector<std::uint32_t> rescan_index;
   for (const std::uint32_t c : candidates) {
-    if (!screen.exact[c]) {
-      rescan.push_back(db[c]);
-      rescan_index.push_back(c);
-    }
+    if (!screen.exact[c]) rescan_index.push_back(c);
   }
+  std::stable_sort(rescan_index.begin(), rescan_index.end(),
+                   [&db](std::uint32_t a, std::uint32_t b) {
+                     return db[a].size() > db[b].size();
+                   });
+  DbView records;
+  records.reserve(rescan_index.size());
+  for (const std::uint32_t c : rescan_index) records.push_back(db[c]);
+
+  obs::Span span;
+  if (tracer) {
+    span = tracer->span("filter_rescore", "align", trace_track);
+    span.arg("candidates", static_cast<double>(candidates.size()));
+    span.arg("rescans", static_cast<double>(records.size()));
+  }
+  const SearchResult rescored = rescan(records);
+  SWDUAL_CHECK(rescored.scores.size() == records.size(),
+               "rescan kernel returned the wrong number of scores");
+  span.finish();
+
   out.result.scores = std::move(screen.scores);
-  out.result.cells = screen.cells;
-  const SearchResult rescored =
-      search_range(profiles, rescan, 0, rescan.size());
-  out.result.cells += rescored.cells;
-  out.result.overflow_rescans += rescored.overflow_rescans;
+  out.result.cells = screen.cells + rescored.cells;
+  out.result.overflow_rescans = rescored.overflow_rescans;
   for (std::size_t i = 0; i < rescan_index.size(); ++i) {
     out.result.scores[rescan_index[i]] = rescored.scores[i];
   }
@@ -343,12 +366,38 @@ FilteredSearchResult search_database_filtered(const SearchProfiles& profiles,
 
   // Only candidates are eligible for the ranking: their scores are exact,
   // so the hit list is correct whenever the screen retained the true top-k.
-  std::vector<SearchHit> heap;
   for (const std::uint32_t c : candidates) {
-    push_top_hit(heap, {c, out.result.scores[c]}, top_k);
+    push_top_hit(out.hits, {c, out.result.scores[c]}, top_k);
   }
-  finish_top_hits(heap);
-  out.hits = std::move(heap);
+  finish_top_hits(out.hits);
+  if (metrics) {
+    metrics->add("filter_candidates",
+                 static_cast<double>(out.stats.candidates));
+    metrics->add("filter_rescans", static_cast<double>(out.stats.rescans));
+    metrics->add("filter_band_uncertain",
+                 static_cast<double>(out.stats.band_uncertain));
+  }
+  return out;
+}
+
+FilteredSearchResult search_database_filtered(const SearchProfiles& profiles,
+                                              const DbView& db,
+                                              std::size_t top_k,
+                                              const FilterConfig& config,
+                                              obs::Tracer* tracer,
+                                              obs::MetricsRegistry* metrics,
+                                              std::size_t trace_track) {
+  config.validate();
+  WallTimer timer;
+  FilteredSearchResult out;
+  if (config.enabled()) {
+    out = filter_rescore(screen_range(profiles, db, 0, db.size(), config.band),
+                         db, top_k, config, exact_rescan(profiles), {},
+                         tracer, metrics, trace_track);
+  } else {
+    out.result = search_range(profiles, db, 0, db.size());
+    out.hits = out.result.top(top_k);
+  }
   out.result.seconds = timer.seconds();
   return out;
 }

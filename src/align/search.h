@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -18,6 +19,11 @@
 #include "align/profile.h"
 #include "align/scoring.h"
 #include "seq/sequence.h"
+
+namespace swdual::obs {
+class MetricsRegistry;
+class Tracer;
+}  // namespace swdual::obs
 
 namespace swdual::align {
 
@@ -231,10 +237,37 @@ struct FilteredSearchResult {
   FilterStats stats;
 };
 
-FilteredSearchResult search_database_filtered(const SearchProfiles& profiles,
-                                              const DbView& db,
-                                              std::size_t top_k,
-                                              const FilterConfig& config);
+/// Stage-2 rescan kernel: exact scores of `records`, in order, with the
+/// cells (and overflow rescans) it spent.
+using RescanKernel = std::function<SearchResult(const DbView& records)>;
+
+/// The exact CPU rescan: search_range over the gathered records.
+RescanKernel exact_rescan(const SearchProfiles& profiles);
+
+/// Stage 2 of every filtered search. `screen` is one query's stage-1 output
+/// gathered into database order over `db`. Selects the candidates
+/// (filter_select_candidates), drops those whose `eligible` entry is 0 (an
+/// empty mask keeps all; the sharded engine masks records of failed
+/// shards), rescans the non-certified ones longest-first with `rescan`,
+/// overwrites their scores and ranks the candidates. Emits one
+/// `filter_rescore` span on `trace_track` and the filter_candidates /
+/// filter_rescans / filter_band_uncertain metrics when sinks are given.
+/// `result.seconds` is left to the caller.
+FilteredSearchResult filter_rescore(ScreenResult screen, const DbView& db,
+                                    std::size_t top_k,
+                                    const FilterConfig& config,
+                                    const RescanKernel& rescan,
+                                    std::span<const std::uint8_t> eligible = {},
+                                    obs::Tracer* tracer = nullptr,
+                                    obs::MetricsRegistry* metrics = nullptr,
+                                    std::size_t trace_track = 0);
+
+/// Serial filtered search: screen_range over the whole database, then
+/// filter_rescore with exact_rescan (mode kOff: search_range + top(k)).
+FilteredSearchResult search_database_filtered(
+    const SearchProfiles& profiles, const DbView& db, std::size_t top_k,
+    const FilterConfig& config, obs::Tracer* tracer = nullptr,
+    obs::MetricsRegistry* metrics = nullptr, std::size_t trace_track = 0);
 
 FilteredSearchResult search_database_filtered(
     std::span<const std::uint8_t> query, const DbView& db,

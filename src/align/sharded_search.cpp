@@ -4,6 +4,7 @@
 #include <exception>
 #include <future>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -83,11 +84,24 @@ struct ShardedSearchEngine::ShardState {
   std::unique_ptr<ProfileCache> profiles;
 };
 
+namespace {
+
+/// Scatter shard-local per-record values back to database order.
+template <typename V>
+void scatter_records(const std::vector<std::uint32_t>& records,
+                     const std::vector<V>& local, std::vector<V>& global) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    global[records[i]] = local[i];
+  }
+}
+
+}  // namespace
+
 ShardedSearchEngine::ShardedSearchEngine(const DbView& db,
                                          const ShardedSearchOptions& options)
     : options_(options) {
   plan_ = plan_shards(db, options_.num_shards);
-  init(db, {});
+  init(db);
 }
 
 ShardedSearchEngine::ShardedSearchEngine(
@@ -96,17 +110,14 @@ ShardedSearchEngine::ShardedSearchEngine(
     : options_(options), mapped_(std::move(db)) {
   SWDUAL_REQUIRE(mapped_ != nullptr, "mapped database must not be null");
   plan_ = plan_shards(mapped_->lengths(), options_.num_shards);
-  init(mapped_->residue_views(), mapped_->lengths());
+  init(mapped_->residue_views());
 }
 
 ShardedSearchEngine::~ShardedSearchEngine() = default;
 
-void ShardedSearchEngine::init(const DbView& db,
-                               std::span<const std::uint32_t> lengths) {
-  (void)lengths;
+void ShardedSearchEngine::init(const DbView& db) {
   db_records_ = db.size();
   global_view_ = db;  // span copies; the filtered gather rescans through it
-  db_residues_ = db_residue_count(global_view_);
   shards_.reserve(plan_.shards.size());
   for (const ShardPlan::Shard& shard_plan : plan_.shards) {
     auto state = std::make_unique<ShardState>();
@@ -134,28 +145,14 @@ void ShardedSearchEngine::init(const DbView& db,
   }
 }
 
-std::vector<RankedSearchResult> ShardedSearchEngine::scan_shard_serial(
-    const ShardState& shard, std::span<const SearchProfiles* const> profiles,
-    std::size_t k) const {
-  std::vector<RankedSearchResult> results(profiles.size());
-  for (std::size_t q = 0; q < profiles.size(); ++q) {
-    RankedSearchResult& ranked = results[q];
-    ranked.result = search_range(*profiles[q], shard.view, 0, shard.view.size());
-    for (std::size_t i = 0; i < shard.view.size(); ++i) {
-      push_top_hit(ranked.hits, {i, ranked.result.scores[i]}, k);
-    }
-    finish_top_hits(ranked.hits);
-  }
-  return results;
-}
-
-ShardedSearchEngine::ShardOutcome ShardedSearchEngine::scan_shard(
+template <typename T>
+ShardedSearchEngine::ShardOutcome<T> ShardedSearchEngine::attempt_shard(
     std::size_t shard_index,
     std::span<const std::span<const std::uint8_t>> queries,
     const ScoringScheme& scheme, KernelKind kernel, Backend backend,
-    std::size_t k) const {
+    const ShardScan<T>& primary, const ShardScan<T>& recovery) const {
   const ShardState& shard = *shards_[shard_index];
-  ShardOutcome outcome;
+  ShardOutcome<T> outcome;
 
   // Build (or fetch) the K profile sets once for the whole group pass, from
   // this shard's private cache — the "build K profiles once, scan the chunk
@@ -180,14 +177,13 @@ ShardedSearchEngine::ShardOutcome ShardedSearchEngine::scan_shard(
       span.arg("attempt", static_cast<double>(attempt));
       span.arg("records", static_cast<double>(shard.view.size()));
       span.arg("queries", static_cast<double>(queries.size()));
+      if constexpr (std::is_same_v<T, ScreenResult>) span.arg("screen", 1.0);
     }
     WallTimer timer;
     try {
       if (options_.before_shard) options_.before_shard(shard_index, attempt);
-      outcome.per_query =
-          attempt == 0
-              ? shard.engine->search_ranked_many(profiles, k)
-              : scan_shard_serial(shard, profiles, k);  // recovery path
+      outcome.per_query = attempt == 0 ? primary(shard, profiles)
+                                       : recovery(shard, profiles);
       outcome.ok = true;
     } catch (const std::exception& error) {
       outcome.reason = error.what();
@@ -217,21 +213,63 @@ ShardedSearchEngine::ShardOutcome ShardedSearchEngine::scan_shard(
     }
     if (outcome.ok) break;
   }
+  return outcome;
+}
 
-  if (outcome.ok) {
-    // Gather discipline: shard-local hit indices become global database
-    // indices through the plan's record list (the inverse permutation), so
-    // the cross-shard merge ranks exactly the same candidates the unsharded
-    // search ranks.
-    const std::vector<std::uint32_t>& records =
-        plan_.shards[shard_index].records;
-    for (RankedSearchResult& ranked : outcome.per_query) {
-      for (SearchHit& hit : ranked.hits) {
-        hit.db_index = records[hit.db_index];
-      }
+template <typename T>
+std::vector<ShardedSearchEngine::ShardOutcome<T>> ShardedSearchEngine::scatter(
+    std::span<const std::span<const std::uint8_t>> queries,
+    const ScoringScheme& scheme, KernelKind kernel, Backend backend,
+    const ShardScan<T>& primary, const ShardScan<T>& recovery) const {
+  {
+    util::MutexLock lock(stats_mutex_);
+    ++stats_.group_passes;
+  }
+  if (options_.metrics) {
+    options_.metrics->add("serve_shard_group_passes");
+    options_.metrics->observe("serve_shard_group_queries",
+                              static_cast<double>(queries.size()));
+  }
+  std::vector<ShardOutcome<T>> outcomes(shards_.size());
+  if (scatter_pool_) {
+    std::vector<std::future<ShardOutcome<T>>> futures;
+    futures.reserve(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      futures.push_back(scatter_pool_->submit(
+          [this, s, queries, &scheme, kernel, backend, &primary, &recovery] {
+            return attempt_shard(s, queries, scheme, kernel, backend, primary,
+                                 recovery);
+          }));
+    }
+    for (std::size_t s = 0; s < futures.size(); ++s) {
+      outcomes[s] = futures[s].get();
+    }
+  } else {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      outcomes[s] =
+          attempt_shard(s, queries, scheme, kernel, backend, primary, recovery);
     }
   }
-  return outcome;
+  return outcomes;
+}
+
+template <typename T, typename Take>
+void ShardedSearchEngine::gather(const std::vector<ShardOutcome<T>>& outcomes,
+                                 std::vector<ShardedSearchResult>& results,
+                                 const Take& take) const {
+  for (std::size_t s = 0; s < outcomes.size(); ++s) {
+    const ShardOutcome<T>& outcome = outcomes[s];
+    if (!outcome.ok) {
+      for (ShardedSearchResult& result : results) {
+        result.complete = false;
+        result.failures.push_back({s, outcome.attempts, outcome.reason});
+      }
+      continue;
+    }
+    for (std::size_t q = 0; q < results.size(); ++q) {
+      take(q, plan_.shards[s].records, outcome.per_query[q]);
+    }
+  }
 }
 
 std::vector<ShardedSearchResult> ShardedSearchEngine::search_many(
@@ -247,151 +285,50 @@ std::vector<ShardedSearchResult> ShardedSearchEngine::search_many(
   // (and their caches share entries across group passes).
   const Backend resolved = resolve_backend(backend, kernel);
 
-  {
-    util::MutexLock lock(stats_mutex_);
-    ++stats_.group_passes;
-  }
-  if (options_.metrics) {
-    options_.metrics->add("serve_shard_group_passes");
-    options_.metrics->observe("serve_shard_group_queries",
-                              static_cast<double>(queries.size()));
-  }
-
-  // Scatter.
-  std::vector<ShardOutcome> outcomes(shards_.size());
-  if (scatter_pool_) {
-    std::vector<std::future<ShardOutcome>> futures;
-    futures.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      futures.push_back(scatter_pool_->submit([this, s, queries, &scheme,
-                                               kernel, resolved, k] {
-        return scan_shard(s, queries, scheme, kernel, resolved, k);
-      }));
-    }
-    for (std::size_t s = 0; s < futures.size(); ++s) {
-      outcomes[s] = futures[s].get();
-    }
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      outcomes[s] = scan_shard(s, queries, scheme, kernel, resolved, k);
-    }
-  }
+  const ShardScan<RankedSearchResult> primary =
+      [k](const ShardState& shard,
+          std::span<const SearchProfiles* const> profiles) {
+        return shard.engine->search_ranked_many(profiles, k);
+      };
+  const ShardScan<RankedSearchResult> recovery =
+      [k](const ShardState& shard,
+          std::span<const SearchProfiles* const> profiles) {
+        // Direct serial scan over the shard view, independent of the
+        // shard's engine and pool. Same results by construction.
+        std::vector<RankedSearchResult> ranked(profiles.size());
+        for (std::size_t q = 0; q < profiles.size(); ++q) {
+          ranked[q].result =
+              search_range(*profiles[q], shard.view, 0, shard.view.size());
+          ranked[q].hits = ranked[q].result.top(k);
+        }
+        return ranked;
+      };
+  const auto outcomes =
+      scatter(queries, scheme, kernel, resolved, primary, recovery);
 
   // Gather: scatter shard-local scores back to database order and merge the
-  // per-shard top-k heaps (already on global indices) in shard order; ties
+  // per-shard top-k heaps in shard order. Shard-local hit indices become
+  // global database indices through the plan's record list, and ties
   // resolve by global index, so the ranking matches the unsharded search.
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    ShardedSearchResult& result = results[q];
+  for (ShardedSearchResult& result : results) {
     result.ranked.result.scores.assign(db_records_, 0);
   }
-  for (std::size_t s = 0; s < outcomes.size(); ++s) {
-    const ShardOutcome& outcome = outcomes[s];
-    if (!outcome.ok) {
-      for (ShardedSearchResult& result : results) {
-        result.complete = false;
-        result.failures.push_back({s, outcome.attempts, outcome.reason});
-      }
-      continue;
-    }
-    const std::vector<std::uint32_t>& records = plan_.shards[s].records;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      ShardedSearchResult& result = results[q];
-      const RankedSearchResult& shard_ranked = outcome.per_query[q];
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        result.ranked.result.scores[records[i]] =
-            shard_ranked.result.scores[i];
-      }
-      result.ranked.result.cells += shard_ranked.result.cells;
-      result.ranked.result.overflow_rescans +=
-          shard_ranked.result.overflow_rescans;
-      for (const SearchHit& hit : shard_ranked.hits) {
-        push_top_hit(result.ranked.hits, hit, k);
-      }
-    }
-  }
+  gather(outcomes, results,
+         [&results, k](std::size_t q, const std::vector<std::uint32_t>& records,
+                       const RankedSearchResult& shard_ranked) {
+           SearchResult& merged = results[q].ranked.result;
+           scatter_records(records, shard_ranked.result.scores, merged.scores);
+           merged.cells += shard_ranked.result.cells;
+           merged.overflow_rescans += shard_ranked.result.overflow_rescans;
+           for (const SearchHit& hit : shard_ranked.hits) {
+             push_top_hit(results[q].ranked.hits,
+                          {records[hit.db_index], hit.score}, k);
+           }
+         });
   for (ShardedSearchResult& result : results) {
     finish_top_hits(result.ranked.hits);
   }
   return results;
-}
-
-ShardedSearchEngine::ShardScreenOutcome ShardedSearchEngine::screen_shard(
-    std::size_t shard_index,
-    std::span<const std::span<const std::uint8_t>> queries,
-    const ScoringScheme& scheme, KernelKind kernel, Backend backend,
-    std::size_t band) const {
-  const ShardState& shard = *shards_[shard_index];
-  ShardScreenOutcome outcome;
-
-  std::vector<std::shared_ptr<const CachedProfiles>> cached;
-  std::vector<const SearchProfiles*> profiles;
-  cached.reserve(queries.size());
-  profiles.reserve(queries.size());
-  for (const auto& query : queries) {
-    cached.push_back(shard.profiles->acquire(query, scheme, kernel, backend));
-    profiles.push_back(&cached.back()->profiles());
-  }
-
-  const auto serial_screen = [&] {
-    // Recovery path: direct screen over the shard view on this thread,
-    // independent of the shard's engine/pool. Same results by construction.
-    std::vector<ScreenResult> screens(profiles.size());
-    for (std::size_t q = 0; q < profiles.size(); ++q) {
-      screens[q] =
-          screen_range(*profiles[q], shard.view, 0, shard.view.size(), band);
-    }
-    return screens;
-  };
-
-  for (std::size_t attempt = 0; attempt <= options_.max_shard_retries;
-       ++attempt) {
-    ++outcome.attempts;
-    obs::Span span;
-    if (options_.tracer) {
-      span = options_.tracer->span("shard_scan", "shard",
-                                   options_.trace_track);
-      span.arg("shard", static_cast<double>(shard_index));
-      span.arg("attempt", static_cast<double>(attempt));
-      span.arg("records", static_cast<double>(shard.view.size()));
-      span.arg("queries", static_cast<double>(queries.size()));
-      span.arg("screen", 1.0);
-    }
-    WallTimer timer;
-    try {
-      if (options_.before_shard) options_.before_shard(shard_index, attempt);
-      outcome.per_query = attempt == 0
-                              ? shard.engine->screen_many(profiles, band)
-                              : serial_screen();
-      outcome.ok = true;
-    } catch (const std::exception& error) {
-      outcome.reason = error.what();
-    } catch (...) {
-      outcome.reason = "unknown shard failure";
-    }
-    if (options_.metrics) {
-      if (outcome.ok) {
-        options_.metrics->add("serve_shard_scans");
-        options_.metrics->observe("serve_shard_scan_seconds",
-                                  timer.seconds());
-      } else if (attempt < options_.max_shard_retries) {
-        options_.metrics->add("serve_shard_retries");
-      } else {
-        options_.metrics->add("serve_shard_failures");
-      }
-    }
-    {
-      util::MutexLock lock(stats_mutex_);
-      if (outcome.ok) {
-        ++stats_.scans;
-      } else if (attempt < options_.max_shard_retries) {
-        ++stats_.retries;
-      } else {
-        ++stats_.failures;
-      }
-    }
-    if (outcome.ok) break;
-  }
-  return outcome;
 }
 
 std::vector<ShardedSearchResult> ShardedSearchEngine::search_many_filtered(
@@ -408,158 +345,66 @@ std::vector<ShardedSearchResult> ShardedSearchEngine::search_many_filtered(
     SWDUAL_REQUIRE(!query.empty(), "cannot search with an empty query");
   }
   const Backend resolved = resolve_backend(backend, kernel);
+  const std::size_t band = config.band;
 
-  {
-    util::MutexLock lock(stats_mutex_);
-    ++stats_.group_passes;
-  }
-  if (options_.metrics) {
-    options_.metrics->add("serve_shard_group_passes");
-    options_.metrics->observe("serve_shard_group_queries",
-                              static_cast<double>(queries.size()));
-  }
-
-  // Scatter the stage-1 screens.
-  std::vector<ShardScreenOutcome> outcomes(shards_.size());
-  if (scatter_pool_) {
-    std::vector<std::future<ShardScreenOutcome>> futures;
-    futures.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      futures.push_back(scatter_pool_->submit([this, s, queries, &scheme,
-                                               kernel, resolved, &config] {
-        return screen_shard(s, queries, scheme, kernel, resolved,
-                            config.band);
-      }));
-    }
-    for (std::size_t s = 0; s < futures.size(); ++s) {
-      outcomes[s] = futures[s].get();
-    }
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      outcomes[s] =
-          screen_shard(s, queries, scheme, kernel, resolved, config.band);
-    }
-  }
+  const ShardScan<ScreenResult> primary =
+      [band](const ShardState& shard,
+             std::span<const SearchProfiles* const> profiles) {
+        return shard.engine->screen_many(profiles, band);
+      };
+  const ShardScan<ScreenResult> recovery =
+      [band](const ShardState& shard,
+             std::span<const SearchProfiles* const> profiles) {
+        std::vector<ScreenResult> screens(profiles.size());
+        for (std::size_t q = 0; q < profiles.size(); ++q) {
+          screens[q] = screen_range(*profiles[q], shard.view, 0,
+                                    shard.view.size(), band);
+        }
+        return screens;
+      };
+  const auto outcomes =
+      scatter(queries, scheme, kernel, resolved, primary, recovery);
 
   // Gather the screens to database order. Records of failed shards keep
-  // score 0 with the exact certificate set, so they are never rescanned and
-  // stay out of the top-k — the same partial-result semantics as
-  // search_many.
+  // score 0 with the exact certificate set, so they are never rescanned,
+  // and the eligibility mask keeps them out of the top-k — the same
+  // partial-result semantics as search_many.
   std::vector<ScreenResult> screens(queries.size());
   for (ScreenResult& screen : screens) {
     screen.scores.assign(db_records_, 0);
     screen.exact.assign(db_records_, 1);
     screen.edge_hit.assign(db_records_, 0);
   }
+  gather(outcomes, results,
+         [&screens](std::size_t q, const std::vector<std::uint32_t>& records,
+                    const ScreenResult& shard_screen) {
+           ScreenResult& screen = screens[q];
+           scatter_records(records, shard_screen.scores, screen.scores);
+           scatter_records(records, shard_screen.exact, screen.exact);
+           scatter_records(records, shard_screen.edge_hit, screen.edge_hit);
+           screen.cells += shard_screen.cells;
+         });
   std::vector<std::uint8_t> scanned;  // built only when a shard failed
-  for (std::size_t s = 0; s < outcomes.size(); ++s) {
-    const ShardScreenOutcome& outcome = outcomes[s];
-    if (!outcome.ok) {
-      for (ShardedSearchResult& result : results) {
-        result.complete = false;
-        result.failures.push_back({s, outcome.attempts, outcome.reason});
-      }
-      if (scanned.empty()) scanned.assign(db_records_, 1);
-      for (const std::uint32_t id : plan_.shards[s].records) {
-        scanned[id] = 0;
-      }
-      continue;
-    }
-    const std::vector<std::uint32_t>& records = plan_.shards[s].records;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      ScreenResult& screen = screens[q];
-      const ScreenResult& shard_screen = outcome.per_query[q];
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        screen.scores[records[i]] = shard_screen.scores[i];
-        screen.exact[records[i]] = shard_screen.exact[i];
-        screen.edge_hit[records[i]] = shard_screen.edge_hit[i];
-      }
-      screen.cells += shard_screen.cells;
+  for (const ShardFailure& failure : results.front().failures) {
+    if (scanned.empty()) scanned.assign(db_records_, 1);
+    for (const std::uint32_t id : plan_.shards[failure.shard].records) {
+      scanned[id] = 0;
     }
   }
 
-  // Global candidate selection + exact rescan on the gather thread: the
-  // candidate set is a pure function of the merged screens, so results are
-  // identical for every shard topology.
+  // Stage 2 on the gather thread: the candidate set is a pure function of
+  // the merged screens, so results are identical for every shard topology.
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    ShardedSearchResult& result = results[q];
-    ScreenResult& screen = screens[q];
-    result.filtered = true;
-    std::vector<std::uint32_t> candidates =
-        filter_select_candidates(screen, k, config, &result.filter);
-    if (!scanned.empty()) {
-      // Partial results: records of failed shards were never screened and
-      // must not surface as zero-score hits (search_many's semantics).
-      result.filter.candidates -= static_cast<std::uint64_t>(std::erase_if(
-          candidates, [&scanned](std::uint32_t c) { return !scanned[c]; }));
-    }
-
-    std::vector<std::uint32_t> rescan_index;
-    for (const std::uint32_t c : candidates) {
-      if (!screen.exact[c]) rescan_index.push_back(c);
-    }
-    std::stable_sort(rescan_index.begin(), rescan_index.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                       return global_view_[a].size() > global_view_[b].size();
-                     });
-    DbView rescan;
-    rescan.reserve(rescan_index.size());
-    for (const std::uint32_t c : rescan_index) {
-      rescan.push_back(global_view_[c]);
-    }
-
-    obs::Span span;
-    if (options_.tracer) {
-      span = options_.tracer->span("filter_rescore", "shard",
-                                   options_.trace_track);
-      span.arg("query", static_cast<double>(q));
-      span.arg("candidates", static_cast<double>(candidates.size()));
-      span.arg("rescans", static_cast<double>(rescan.size()));
-    }
     const SearchProfiles profiles(queries[q], scheme, kernel, resolved);
-    const SearchResult rescored =
-        search_range(profiles, rescan, 0, rescan.size());
-
-    result.ranked.result.scores = std::move(screen.scores);
-    result.ranked.result.cells = screen.cells + rescored.cells;
-    result.ranked.result.overflow_rescans = rescored.overflow_rescans;
-    for (std::size_t i = 0; i < rescan_index.size(); ++i) {
-      result.ranked.result.scores[rescan_index[i]] = rescored.scores[i];
-    }
-    result.filter.rescans += rescan_index.size();
-
-    for (const std::uint32_t c : candidates) {
-      push_top_hit(result.ranked.hits, {c, result.ranked.result.scores[c]},
-                   k);
-    }
-    finish_top_hits(result.ranked.hits);
-    if (options_.metrics) {
-      options_.metrics->add("filter_candidates",
-                            static_cast<double>(result.filter.candidates));
-      options_.metrics->add("filter_rescans",
-                            static_cast<double>(result.filter.rescans));
-      options_.metrics->add("filter_band_uncertain",
-                            static_cast<double>(result.filter.band_uncertain));
-    }
-  }
-  return results;
-}
-
-std::vector<ShardedSearchResult> ShardedSearchEngine::search_many_filtered(
-    std::span<const std::span<const std::uint8_t>> queries,
-    const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
-    const FilterConfig& config, const AnnotateConfig& annotate,
-    const KarlinAltschulParams& params, Backend backend) const {
-  std::vector<ShardedSearchResult> results =
-      search_many_filtered(queries, scheme, kernel, k, config, backend);
-  if (!annotate.enabled()) return results;
-  // Post-gather only: every query's hits are already the merged GLOBAL
-  // top-k, so annotating here (against the database-order view with the
-  // true residue total) is independent of the shard topology.
-  for (std::size_t q = 0; q < results.size(); ++q) {
-    annotate_hits(results[q].ranked.hits, queries[q], global_view_, scheme,
-                  annotate, params, db_residues_, options_.tracer,
-                  options_.metrics, options_.trace_track);
+    FilteredSearchResult out = filter_rescore(
+        std::move(screens[q]), global_view_, k, config,
+        exact_rescan(profiles), scanned, options_.tracer, options_.metrics,
+        options_.trace_track);
+    ShardedSearchResult& result = results[q];
+    result.ranked.result = std::move(out.result);
+    result.ranked.hits = std::move(out.hits);
+    result.filtered = true;
+    result.filter = out.stats;
   }
   return results;
 }

@@ -170,9 +170,10 @@ class ShardedSearchEngine {
 
   /// Two-stage filtered group search. Every shard screens the group with
   /// the banded stage-1 kernel (one shared pass per shard chunk, same
-  /// scatter/retry discipline as search_many); candidates are then selected
-  /// GLOBALLY from the gathered screens and rescanned exactly on the gather
-  /// thread — so heuristic results are identical for every shard count,
+  /// scatter/retry discipline as search_many); the screens are gathered to
+  /// database order and each query runs the shared stage 2
+  /// (filter_rescore) on the gather thread, so candidates are selected
+  /// GLOBALLY and heuristic results are identical for every shard count,
   /// thread count, and backend. Mode kOff delegates to search_many
   /// (bit-identical to the unsharded search).
   std::vector<ShardedSearchResult> search_many_filtered(
@@ -180,26 +181,9 @@ class ShardedSearchEngine {
       const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
       const FilterConfig& config, Backend backend = Backend::kAuto) const;
 
-  /// search_many_filtered plus a post-gather annotate_hits pass
-  /// (align/annotate.h) per query, run on the merged GLOBAL top-k against
-  /// the database-order view with the database's true residue total as the
-  /// Karlin–Altschul search space — never per shard, so annotated hit
-  /// scores/order are bit-identical to the unannotated overload for every
-  /// shard count, thread count, and backend.
-  std::vector<ShardedSearchResult> search_many_filtered(
-      std::span<const std::span<const std::uint8_t>> queries,
-      const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
-      const FilterConfig& config, const AnnotateConfig& annotate,
-      const KarlinAltschulParams& params,
-      Backend backend = Backend::kAuto) const;
-
   std::size_t num_shards() const { return shards_.size(); }
   std::size_t db_records() const { return db_records_; }
   const ShardPlan& plan() const { return plan_; }
-
-  /// Total residues across the database (true span sizes, not the planner's
-  /// load costs, which count empty records as 1).
-  std::uint64_t db_residues() const { return db_residues_; }
 
   struct Stats {
     std::uint64_t scans = 0;      ///< successful shard-scan attempts
@@ -212,47 +196,54 @@ class ShardedSearchEngine {
  private:
   struct ShardState;
 
-  /// Per-query outcome of one shard scan, hits already in global indices.
+  /// Per-query results of one shard in shard-local record order, plus the
+  /// fate of its attempts.
+  template <typename T>
   struct ShardOutcome {
-    std::vector<RankedSearchResult> per_query;
+    std::vector<T> per_query;
     bool ok = false;
     std::size_t attempts = 0;
     std::string reason;
   };
 
-  /// Per-query stage-1 screens of one shard, shard-local record order.
-  struct ShardScreenOutcome {
-    std::vector<ScreenResult> per_query;
-    bool ok = false;
-    std::size_t attempts = 0;
-    std::string reason;
-  };
+  /// A shard scan: per-query results over one shard's records.
+  template <typename T>
+  using ShardScan = std::function<std::vector<T>(
+      const ShardState&, std::span<const SearchProfiles* const>)>;
 
-  void init(const DbView& db, std::span<const std::uint32_t> lengths);
-  ShardOutcome scan_shard(std::size_t shard_index,
-                          std::span<const std::span<const std::uint8_t>>
-                              queries,
-                          const ScoringScheme& scheme, KernelKind kernel,
-                          Backend backend, std::size_t k) const;
-  /// Recovery path: serial search_range over the shard view, no pool.
-  std::vector<RankedSearchResult> scan_shard_serial(
-      const ShardState& shard,
-      std::span<const SearchProfiles* const> profiles, std::size_t k) const;
+  void init(const DbView& db);
 
-  /// Stage-1 variant of scan_shard: same profile sharing, retry budget,
-  /// and metrics, but each attempt screens instead of scanning exactly
-  /// (recovery attempts use serial screen_range on the gather thread).
-  ShardScreenOutcome screen_shard(std::size_t shard_index,
-                                  std::span<const std::span<const std::uint8_t>>
-                                      queries,
-                                  const ScoringScheme& scheme,
-                                  KernelKind kernel, Backend backend,
-                                  std::size_t band) const;
+  /// One group pass: counts it, then runs every shard's attempt loop
+  /// (attempt_shard) across the scatter pool. Outcomes in shard order.
+  template <typename T>
+  std::vector<ShardOutcome<T>> scatter(
+      std::span<const std::span<const std::uint8_t>> queries,
+      const ScoringScheme& scheme, KernelKind kernel, Backend backend,
+      const ShardScan<T>& primary, const ShardScan<T>& recovery) const;
+
+  /// The shard's K profile sets come from its private cache once for every
+  /// attempt; attempt 0 runs `primary` (the shard's engine and pool), each
+  /// of the max_shard_retries retries runs `recovery` (a serial scan of the
+  /// shard view on the calling thread). Every attempt gets a shard_scan span
+  /// and feeds the serve_shard_* metrics and Stats.
+  template <typename T>
+  ShardOutcome<T> attempt_shard(
+      std::size_t shard_index,
+      std::span<const std::span<const std::uint8_t>> queries,
+      const ScoringScheme& scheme, KernelKind kernel, Backend backend,
+      const ShardScan<T>& primary, const ShardScan<T>& recovery) const;
+
+  /// Gather: failed shards are recorded on every result; each successful
+  /// shard's per-query output is handed to `take(query, records, output)`
+  /// with the shard's database indices for the scatter to database order.
+  template <typename T, typename Take>
+  void gather(const std::vector<ShardOutcome<T>>& outcomes,
+              std::vector<ShardedSearchResult>& results,
+              const Take& take) const;
 
   ShardedSearchOptions options_;
   ShardPlan plan_;
   std::size_t db_records_ = 0;
-  std::uint64_t db_residues_ = 0;
   DbView global_view_;  ///< database-order spans, for candidate rescans
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::shared_ptr<const seq::MappedSwdb> mapped_;  ///< keeps mapping alive

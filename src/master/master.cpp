@@ -327,18 +327,13 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
   for (TaskReport& r : collected) {
     report.total_cells += r.cells;
     report.worker_virtual_busy[r.worker_id] += r.virtual_seconds;
+    // Workers rank their own task (filtered tasks over their candidate
+    // set), so the merge takes every report's top-k verbatim.
     QueryResult& query_result = report.results[r.query_index];
     query_result.query_index = r.query_index;
-    if (r.ranked) {
-      // Filtered tasks already ranked over their candidate set; a top()
-      // over the mixed screened/exact score vector could not re-derive it.
-      query_result.hits = std::move(r.hits);
-      report.filter.merge(r.filter);
-    } else {
-      align::SearchResult scores;
-      scores.scores = r.scores;
-      query_result.hits = scores.top(config.top_hits);
-    }
+    query_result.hits = std::move(r.hits);
+    query_result.filter = r.filter;
+    report.filter.merge(r.filter);
   }
   merge_span.finish();
 

@@ -119,6 +119,10 @@ struct MasterConfig {
 struct QueryResult {
   std::size_t query_index = 0;
   std::vector<align::SearchHit> hits;  ///< top_hits best database records
+
+  /// This query's filter counters (all zero when MasterConfig::filter is
+  /// off); SearchReport::filter is their sum.
+  align::FilterStats filter;
 };
 
 /// End-to-end report of one database search run.
@@ -132,7 +136,8 @@ struct SearchReport {
   std::map<std::size_t, double> worker_virtual_busy;  ///< worker id → busy
   double virtual_idle_fraction = 0.0;
 
-  /// Aggregated filter counters (all zero when MasterConfig::filter is off).
+  /// Filter counters summed over every query (all zero when
+  /// MasterConfig::filter is off).
   align::FilterStats filter;
 };
 

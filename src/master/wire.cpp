@@ -183,9 +183,13 @@ std::vector<std::uint8_t> encode_report(const TaskReport& report) {
   writer.put<std::uint64_t>(report.cells);
   writer.put_f64(report.wall_seconds);
   writer.put_f64(report.virtual_seconds);
-  writer.put<std::uint64_t>(report.scores.size());
-  for (int score : report.scores) {
-    writer.put<std::uint32_t>(static_cast<std::uint32_t>(score));
+  writer.put<std::uint64_t>(report.filter.candidates);
+  writer.put<std::uint64_t>(report.filter.rescans);
+  writer.put<std::uint64_t>(report.filter.band_uncertain);
+  writer.put<std::uint64_t>(report.hits.size());
+  for (const align::SearchHit& hit : report.hits) {
+    writer.put<std::uint64_t>(hit.db_index);
+    writer.put<std::uint32_t>(static_cast<std::uint32_t>(hit.score));
   }
   return frame(MessageType::kTaskReport, writer.take());
 }
@@ -203,15 +207,19 @@ TaskReport decode_report(const std::vector<std::uint8_t>& frame_bytes) {
   report.cells = reader.get<std::uint64_t>();
   report.wall_seconds = reader.get_f64();
   report.virtual_seconds = reader.get_f64();
+  report.filter.candidates = reader.get<std::uint64_t>();
+  report.filter.rescans = reader.get<std::uint64_t>();
+  report.filter.band_uncertain = reader.get<std::uint64_t>();
   const auto count = reader.get<std::uint64_t>();
-  // Guard against hostile lengths before allocating.
-  if (count * 4 > frame_bytes.size()) {
-    throw IoError("report score count exceeds frame size");
+  // Guard against hostile lengths before allocating (12 bytes per hit).
+  if (count > frame_bytes.size() / 12) {
+    throw IoError("report hit count exceeds frame size");
   }
-  report.scores.reserve(count);
+  report.hits.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    report.scores.push_back(
-        static_cast<std::int32_t>(reader.get<std::uint32_t>()));
+    const auto index = reader.get<std::uint64_t>();
+    const auto score = static_cast<std::int32_t>(reader.get<std::uint32_t>());
+    report.hits.emplace_back(index, score);
   }
   if (!reader.exhausted()) throw IoError("report payload has extra bytes");
   return report;

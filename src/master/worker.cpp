@@ -1,5 +1,6 @@
 #include "master/worker.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -47,58 +48,41 @@ void Worker::run() {
   }
 }
 
-void Worker::execute_gpu_filtered(std::span<const std::uint8_t> query_view,
-                                  const align::DbView& db,
-                                  TaskReport& report) {
+align::FilteredSearchResult Worker::search_gpu(
+    const align::SearchProfiles& profiles, TaskReport& report) {
+  const align::DbView& db = *context_.db;
+  double device_seconds = 0.0;
+  const align::RescanKernel device = [this, &profiles, &device_seconds](
+                                         const align::DbView& records) {
+    gpusim::BatchResult batch = gpu_->run_batch(profiles, records);
+    device_seconds += batch.virtual_seconds;
+    align::SearchResult scan;
+    scan.scores = std::move(batch.scores);
+    scan.cells = batch.cells;
+    return scan;
+  };
+  align::FilteredSearchResult out;
+  if (!context_.filter.enabled()) {
+    out.result = device(db);
+    out.hits = out.result.top(context_.top_hits);
+    report.virtual_seconds = device_seconds;
+    return out;
+  }
   // Host-side stage 1: the banded screen is a CPU kernel (CUDASW++-class
-  // tools run exactly this kind of host prefilter before shipping work).
-  // Screens and candidate selection are deterministic, so a GPU-executed
-  // filtered task reports the same scores and hits as a CPU-executed one.
-  std::shared_ptr<const align::CachedProfiles> cached;
-  std::unique_ptr<align::SearchProfiles> local;
-  const align::SearchProfiles* profiles;
-  if (context_.profile_cache) {
-    cached = context_.profile_cache->acquire(query_view, context_.scheme,
-                                             align::KernelKind::kInterSeq);
-    profiles = &cached->profiles();
-  } else {
-    local = std::make_unique<align::SearchProfiles>(
-        query_view, context_.scheme, align::KernelKind::kInterSeq);
-    profiles = local.get();
-  }
-  const align::ScreenResult screen =
-      align::screen_range(*profiles, db, 0, db.size(), context_.filter.band);
-  const std::vector<std::uint32_t> candidates = align::filter_select_candidates(
-      screen, context_.top_hits, context_.filter, &report.filter);
-
-  align::DbView rescan;
-  std::vector<std::uint32_t> rescan_index;
-  for (const std::uint32_t c : candidates) {
-    if (!screen.exact[c]) {
-      rescan.push_back(db[c]);
-      rescan_index.push_back(c);
-    }
-  }
-  const gpusim::BatchResult batch =
-      cached ? gpu_->run_batch(cached->profiles(), rescan)
-             : gpu_->run_batch(query_view, rescan, context_.scheme);
-  report.scores = screen.scores;
-  for (std::size_t i = 0; i < rescan_index.size(); ++i) {
-    report.scores[rescan_index[i]] = batch.scores[i];
-  }
-  report.filter.rescans += rescan_index.size();
-  report.cells = screen.cells + batch.cells;
-  report.ranked = true;
-  for (const std::uint32_t c : candidates) {
-    align::push_top_hit(report.hits, {c, report.scores[c]},
-                        context_.top_hits);
-  }
-  align::finish_top_hits(report.hits);
-  // The screen runs on the host CPU, the candidate batch on the device:
-  // charge each to its hardware model.
+  // tools run exactly this kind of host prefilter before shipping work), and
+  // only stage 2's candidates go to the device. Screens and candidate
+  // selection are deterministic, so a GPU-executed filtered task reports the
+  // same hits as a CPU-executed one.
+  align::ScreenResult screen =
+      align::screen_range(profiles, db, 0, db.size(), context_.filter.band);
+  const std::uint64_t host_cells = screen.cells;
+  out = align::filter_rescore(std::move(screen), db, context_.top_hits,
+                              context_.filter, device, {}, context_.tracer,
+                              context_.metrics, obs::worker_track(id_));
+  // Charge the screen to the host CPU and the candidate batch to the device.
   report.virtual_seconds =
-      context_.model.cpu_worker().seconds_for(screen.cells) +
-      batch.virtual_seconds;
+      context_.model.cpu_worker().seconds_for(host_cells) + device_seconds;
+  return out;
 }
 
 TaskReport Worker::execute(const TaskOrder& order) {
@@ -134,82 +118,41 @@ TaskReport Worker::execute(const TaskOrder& order) {
   }
 
   WallTimer timer;
-  if (pe_.type == sched::PeType::kGpu) {
-    if (context_.filter.enabled()) {
-      execute_gpu_filtered(query_view, db, report);
-    } else {
-      gpusim::BatchResult batch;
-      if (context_.profile_cache) {
-        const auto cached = context_.profile_cache->acquire(
-            query_view, context_.scheme, align::KernelKind::kInterSeq);
-        batch = gpu_->run_batch(cached->profiles(), db);
-      } else {
-        batch = gpu_->run_batch(query_view, db, context_.scheme);
-      }
-      report.scores = std::move(batch.scores);
-      report.cells = batch.cells;
-      report.virtual_seconds = batch.virtual_seconds;
-    }
-  } else if (context_.filter.enabled()) {
-    align::FilteredSearchResult filtered;
-    if (context_.profile_cache) {
-      const auto cached = context_.profile_cache->acquire(
-          query_view, context_.scheme, context_.cpu_kernel,
-          context_.cpu_backend);
-      filtered = engine_ ? engine_->search_filtered(cached->profiles(),
-                                                    context_.top_hits,
-                                                    context_.filter)
-                         : align::search_database_filtered(
-                               cached->profiles(), db, context_.top_hits,
-                               context_.filter);
-    } else {
-      filtered = engine_ ? engine_->search_filtered(
-                               query_view, context_.scheme,
-                               context_.cpu_kernel, context_.top_hits,
-                               context_.filter, context_.cpu_backend)
-                         : align::search_database_filtered(
-                               query_view, db, context_.scheme,
-                               context_.cpu_kernel, context_.top_hits,
-                               context_.filter, context_.cpu_backend);
-    }
-    report.scores = std::move(filtered.result.scores);
-    report.cells = filtered.result.cells;
-    report.ranked = true;
-    report.hits = std::move(filtered.hits);
-    report.filter = filtered.stats;
-    report.virtual_seconds =
-        context_.model.cpu_worker().seconds_for(report.cells);
+  // One profile set per task: resident in the shared cache, or built here.
+  // GPU workers run the device's inter-sequence kernel on the default
+  // backend; CPU workers run the configured kernel and backend.
+  const bool gpu = pe_.type == sched::PeType::kGpu;
+  const align::KernelKind kernel =
+      gpu ? align::KernelKind::kInterSeq : context_.cpu_kernel;
+  const align::Backend backend =
+      gpu ? align::Backend::kAuto : context_.cpu_backend;
+  std::shared_ptr<const align::CachedProfiles> cached;
+  std::optional<align::SearchProfiles> local;
+  if (context_.profile_cache) {
+    cached = context_.profile_cache->acquire(query_view, context_.scheme,
+                                             kernel, backend);
   } else {
-    align::SearchResult result;
-    if (context_.profile_cache) {
-      const auto cached = context_.profile_cache->acquire(
-          query_view, context_.scheme, context_.cpu_kernel,
-          context_.cpu_backend);
-      result = engine_ ? engine_->search(cached->profiles())
-                       : align::search_database(cached->profiles(), db);
-    } else {
-      result =
-          engine_ ? engine_->search(query_view, context_.scheme,
-                                    context_.cpu_kernel, context_.cpu_backend)
-                  : align::search_database(query_view, db, context_.scheme,
-                                           context_.cpu_kernel,
-                                           context_.cpu_backend);
-    }
-    report.scores = std::move(result.scores);
-    report.cells = result.cells;
+    local.emplace(query_view, context_.scheme, kernel, backend);
+  }
+  const align::SearchProfiles& profiles = cached ? cached->profiles() : *local;
+
+  align::FilteredSearchResult out;
+  if (gpu) {
+    out = search_gpu(profiles, report);
+  } else {
+    out = engine_ ? engine_->search_filtered(profiles, context_.top_hits,
+                                             context_.filter)
+                  : align::search_database_filtered(
+                        profiles, db, context_.top_hits, context_.filter,
+                        context_.tracer, context_.metrics,
+                        obs::worker_track(id_));
     report.virtual_seconds =
-        context_.model.cpu_worker().seconds_for(result.cells);
+        context_.model.cpu_worker().seconds_for(out.result.cells);
   }
+  report.hits = std::move(out.hits);
+  report.filter = out.stats;
+  report.cells = out.result.cells;
   report.wall_seconds = timer.seconds();
-  // (The chunked engine emits these itself when it ran the filtered scan.)
-  if (context_.filter.enabled() && context_.metrics && !engine_) {
-    context_.metrics->add("filter_candidates",
-                          static_cast<double>(report.filter.candidates));
-    context_.metrics->add("filter_rescans",
-                          static_cast<double>(report.filter.rescans));
-    context_.metrics->add("filter_band_uncertain",
-                          static_cast<double>(report.filter.band_uncertain));
-  }
   // Successful tasks tile the worker's virtual timeline back to back, so
   // per-track span sums reproduce SearchReport::worker_virtual_busy.
   span.arg("cells", static_cast<double>(report.cells));

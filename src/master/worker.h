@@ -3,8 +3,9 @@
 // Every worker owns a command queue of TaskOrders and pushes TaskReports to
 // the master's shared result queue. A CPU worker runs the SWIPE-class
 // inter-sequence kernel directly; a GPU worker drives a gpusim::VirtualGpu.
-// Both compute exact scores on this host and additionally report modeled
-// ("virtual") execution times for the paper's hardware classes.
+// Both compute exact scores on this host, rank their task's top-k hits
+// themselves, and additionally report modeled ("virtual") execution times
+// for the paper's hardware classes.
 #pragma once
 
 #include <functional>
@@ -46,7 +47,7 @@ struct WorkerContext {
 
   /// Intra-task threads for each CPU worker: > 1 makes the worker scan the
   /// database through a chunked ParallelSearchEngine instead of the serial
-  /// search_database path (results are bit-identical either way).
+  /// search_database_filtered path (results are bit-identical either way).
   std::size_t threads_per_cpu_worker = 1;
 
   /// Optional shared query-profile cache (align/profile_cache.h). When set,
@@ -100,11 +101,11 @@ class Worker {
   void run();
   TaskReport execute(const TaskOrder& order);
 
-  /// Two-stage GPU task: banded screen on the host, candidate-only batch on
-  /// the virtual device, rank over candidates. Fills scores/cells/hits/
-  /// filter/virtual_seconds of `report`.
-  void execute_gpu_filtered(std::span<const std::uint8_t> query_view,
-                            const align::DbView& db, TaskReport& report);
+  /// The task's search on a GPU worker: the whole database (or, filtered,
+  /// a host-side screen plus a candidate-only stage 2) on the virtual
+  /// device. Sets report.virtual_seconds.
+  align::FilteredSearchResult search_gpu(const align::SearchProfiles& profiles,
+                                         TaskReport& report);
 
   std::size_t id_;
   sched::PeId pe_;

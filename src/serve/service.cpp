@@ -290,9 +290,8 @@ void QueryService::execute_batch(std::vector<Request> batch) {
     const std::string& key = batch[leaders[q]].key;
     const auto value = results_.insert(key, report.results[q].hits);
     for (const std::size_t i : groups[key]) {
-      // report.filter is the batch aggregate: the master merges worker
-      // counters across every query of the workload.
-      fulfill(batch[i], *value, /*cache_hit=*/false, {}, report.filter);
+      fulfill(batch[i], *value, /*cache_hit=*/false, {},
+              report.results[q].filter);
     }
   }
 }

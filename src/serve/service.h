@@ -147,10 +147,11 @@ struct QueryResponse {
   std::string partial_reason;
 
   /// Set when the two-stage filter (ServiceConfig master.filter) produced
-  /// this answer. `filter` carries the screen counters of the engine pass
-  /// behind a fresh answer — per query on the sharded path, batch-aggregate
-  /// on the master path — and is zero on cache hits (the work was already
-  /// paid for by the request that populated the cache).
+  /// this answer. `filter` carries this query's screen counters from the
+  /// engine pass behind a fresh answer, on the sharded and the master path
+  /// alike, and is zero on cache hits (the work was already paid for by the
+  /// request that populated the cache). Duplicates collapsed into one
+  /// search all report that search's counters.
   bool filtered = false;
   align::FilterStats filter;
 

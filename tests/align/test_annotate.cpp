@@ -355,9 +355,11 @@ TEST_P(AnnotateBackends, CigarOracleAcrossKernelsEnginesAndShards) {
     const std::vector<SearchHit> plain =
         search_database(corpus.query, db, scheme, kernel, GetParam()).top(k);
 
-    const RankedSearchResult serial = search_database_annotated(
-        corpus.query, db, scheme, kernel, k, config, params, GetParam());
-    check_annotated(serial.hits, plain, corpus, db, scheme, params, n,
+    // Every engine: search, then annotate the merged top-k.
+    std::vector<SearchHit> serial =
+        search_database(corpus.query, db, scheme, kernel, GetParam()).top(k);
+    annotate_hits(serial, corpus.query, db, scheme, config, params, n);
+    check_annotated(serial, plain, corpus, db, scheme, params, n,
                     std::string("serial ") + kernel_name(kernel));
 
     const SearchProfiles profiles(
@@ -367,8 +369,8 @@ TEST_P(AnnotateBackends, CigarOracleAcrossKernelsEnginesAndShards) {
       ParallelSearchOptions options;
       options.threads = threads;
       const ParallelSearchEngine engine(db, options);
-      const RankedSearchResult par =
-          engine.search_ranked(profiles, k, config, params);
+      RankedSearchResult par = engine.search_ranked(profiles, k);
+      annotate_hits(par.hits, corpus.query, db, scheme, config, params, n);
       check_annotated(par.hits, plain, corpus, db, scheme, params, n,
                       std::string("parallel x") + std::to_string(threads) +
                           " " + kernel_name(kernel));
@@ -381,11 +383,11 @@ TEST_P(AnnotateBackends, CigarOracleAcrossKernelsEnginesAndShards) {
       const std::span<const std::uint8_t> q(corpus.query.data(),
                                             corpus.query.size());
       const std::vector<std::span<const std::uint8_t>> queries{q};
-      const auto many = engine.search_many_filtered(
-          queries, scheme, kernel, k, FilterConfig{}, config, params,
-          GetParam());
+      auto many = engine.search_many_filtered(queries, scheme, kernel, k,
+                                              FilterConfig{}, GetParam());
       ASSERT_EQ(many.size(), 1u);
       ASSERT_TRUE(many[0].complete);
+      annotate_hits(many[0].ranked.hits, q, db, scheme, config, params, n);
       check_annotated(many[0].ranked.hits, plain, corpus, db, scheme, params,
                       n,
                       std::string("sharded x") + std::to_string(shard_count) +
@@ -410,9 +412,9 @@ TEST_P(AnnotateBackends, FilteredAnnotatedMatchesFilteredPlain) {
 
   const FilteredSearchResult plain = search_database_filtered(
       corpus.query, db, scheme, KernelKind::kInterSeq, k, filter, GetParam());
-  const FilteredSearchResult annotated = search_database_filtered_annotated(
-      corpus.query, db, scheme, KernelKind::kInterSeq, k, filter, config,
-      params, GetParam());
+  FilteredSearchResult annotated = search_database_filtered(
+      corpus.query, db, scheme, KernelKind::kInterSeq, k, filter, GetParam());
+  annotate_hits(annotated.hits, corpus.query, db, scheme, config, params, n);
   check_annotated(annotated.hits, plain.hits, corpus, db, scheme, params, n,
                   "filtered serial");
   EXPECT_EQ(annotated.stats.candidates, plain.stats.candidates);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "master/wire.h"
+#include "seq/dbgen.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -26,7 +27,27 @@ TEST(Wire, OrderRoundTrip) {
   EXPECT_EQ(decoded.query_index, order.query_index);
 }
 
-TEST(Wire, ReportRoundTripWithScores) {
+void expect_same_report(const TaskReport& decoded, const TaskReport& report) {
+  EXPECT_EQ(decoded.task_id, report.task_id);
+  EXPECT_EQ(decoded.query_index, report.query_index);
+  EXPECT_EQ(decoded.worker_id, report.worker_id);
+  EXPECT_EQ(decoded.pe.type, report.pe.type);
+  EXPECT_EQ(decoded.pe.index, report.pe.index);
+  EXPECT_EQ(decoded.failed, report.failed);
+  EXPECT_EQ(decoded.cells, report.cells);
+  EXPECT_DOUBLE_EQ(decoded.wall_seconds, report.wall_seconds);
+  EXPECT_DOUBLE_EQ(decoded.virtual_seconds, report.virtual_seconds);
+  EXPECT_EQ(decoded.filter.candidates, report.filter.candidates);
+  EXPECT_EQ(decoded.filter.rescans, report.filter.rescans);
+  EXPECT_EQ(decoded.filter.band_uncertain, report.filter.band_uncertain);
+  ASSERT_EQ(decoded.hits.size(), report.hits.size());
+  for (std::size_t i = 0; i < report.hits.size(); ++i) {
+    EXPECT_EQ(decoded.hits[i].db_index, report.hits[i].db_index) << i;
+    EXPECT_EQ(decoded.hits[i].score, report.hits[i].score) << i;
+  }
+}
+
+TEST(Wire, ReportRoundTripWithHits) {
   Rng rng(1);
   for (int rep = 0; rep < 20; ++rep) {
     TaskReport report;
@@ -41,20 +62,43 @@ TEST(Wire, ReportRoundTripWithScores) {
     report.virtual_seconds = rng.uniform() * 1000;
     const auto n = rng.below(200);
     for (std::uint64_t i = 0; i < n; ++i) {
-      report.scores.push_back(static_cast<int>(rng.between(-5, 30000)));
+      report.hits.emplace_back(rng.next(),
+                               static_cast<int>(rng.between(-5, 30000)));
     }
-    const TaskReport decoded = decode_report(encode_report(report));
-    EXPECT_EQ(decoded.task_id, report.task_id);
-    EXPECT_EQ(decoded.query_index, report.query_index);
-    EXPECT_EQ(decoded.worker_id, report.worker_id);
-    EXPECT_EQ(decoded.pe.type, report.pe.type);
-    EXPECT_EQ(decoded.pe.index, report.pe.index);
-    EXPECT_EQ(decoded.failed, report.failed);
-    EXPECT_EQ(decoded.cells, report.cells);
-    EXPECT_DOUBLE_EQ(decoded.wall_seconds, report.wall_seconds);
-    EXPECT_DOUBLE_EQ(decoded.virtual_seconds, report.virtual_seconds);
-    EXPECT_EQ(decoded.scores, report.scores);
+    expect_same_report(decode_report(encode_report(report)), report);
   }
+}
+
+TEST(Wire, FilteredReportRoundTrip) {
+  // A real filtered task answer: candidate-ranked hits plus the counters.
+  Rng rng(5);
+  const seq::Sequence query = seq::random_protein(rng, "q", 90);
+  std::vector<seq::Sequence> db;
+  for (int i = 0; i < 60; ++i) {
+    db.push_back(seq::random_protein(
+        rng, "d" + std::to_string(i),
+        static_cast<std::size_t>(rng.between(20, 200))));
+  }
+  align::FilterConfig filter;
+  filter.mode = align::FilterMode::kHeuristic;
+  filter.band = 8;
+  const align::FilteredSearchResult filtered = align::search_database_filtered(
+      {query.residues.data(), query.residues.size()}, align::make_db_view(db),
+      align::ScoringScheme{}, align::KernelKind::kInterSeq, 7, filter);
+
+  TaskReport report;
+  report.task_id = 11;
+  report.query_index = 3;
+  report.worker_id = 2;
+  report.pe = {sched::PeType::kGpu, 1};
+  report.hits = filtered.hits;
+  report.filter = filtered.stats;
+  report.cells = filtered.result.cells;
+  report.wall_seconds = 0.25;
+  report.virtual_seconds = 1.5;
+  ASSERT_EQ(report.hits.size(), 7u);
+  ASSERT_GT(report.filter.candidates, 0u);
+  expect_same_report(decode_report(encode_report(report)), report);
 }
 
 TEST(Wire, ShutdownFrame) {

@@ -195,6 +195,60 @@ TEST(QueryService, ResponsesAreBitIdenticalToDirectSearch) {
   }
 }
 
+TEST(QueryService, FilteredMasterPathReportsPerQueryCounters) {
+  // The two-stage filter on the master path (no shards): every response
+  // carries its own query's filter counters, not its batch's sum.
+  const auto db = tiny_database(60, 8);
+  ServiceConfig config = small_config();
+  config.master.top_hits = 4;
+  config.master.filter.mode = align::FilterMode::kHeuristic;
+  config.master.filter.band = 8;
+  config.master.filter.keep_factor = 2.0;
+  // Hold the first batch until every request is queued, so at least one
+  // batch runs several distinct queries.
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  config.before_batch = [gate](std::size_t) { gate.wait(); };
+  const align::ScoringScheme scheme = config.master.scheme;
+  const align::KernelKind kernel = config.master.cpu_kernel;
+  const align::FilterConfig filter = config.master.filter;
+  QueryService service(db, std::move(config));
+
+  std::vector<seq::Sequence> queries;
+  std::vector<std::shared_future<QueryResponse>> pending;
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    queries.push_back(make_query(70 + s, 40 + 15 * s));
+    const Submission ticket = service.submit(queries.back());
+    ASSERT_TRUE(ticket.accepted());
+    pending.push_back(ticket.result);
+  }
+  release.set_value();
+
+  const align::DbView view = align::make_db_view(db);
+  align::FilterStats total;
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const QueryResponse response = pending[i].get();
+    const align::FilteredSearchResult expected =
+        align::search_database_filtered(
+            {queries[i].residues.data(), queries[i].residues.size()}, view,
+            scheme, kernel, 4, filter);
+    EXPECT_TRUE(response.filtered);
+    EXPECT_EQ(response.filter.candidates, expected.stats.candidates) << i;
+    EXPECT_EQ(response.filter.rescans, expected.stats.rescans) << i;
+    EXPECT_EQ(response.filter.band_uncertain, expected.stats.band_uncertain)
+        << i;
+    ASSERT_EQ(response.hits.size(), expected.hits.size()) << i;
+    for (std::size_t h = 0; h < expected.hits.size(); ++h) {
+      EXPECT_EQ(response.hits[h].db_index, expected.hits[h].db_index) << i;
+      EXPECT_EQ(response.hits[h].score, expected.hits[h].score) << i;
+    }
+    total.merge(expected.stats);
+  }
+  EXPECT_LT(service.stats().batches, queries.size());
+  EXPECT_EQ(service.stats().filter.candidates, total.candidates);
+  EXPECT_EQ(service.stats().filter.rescans, total.rescans);
+}
+
 TEST(QueryService, LatencyMetricsAndSpansAreRecorded) {
   obs::MetricsRegistry metrics;
   obs::Tracer tracer;
